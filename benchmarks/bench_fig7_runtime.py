@@ -12,6 +12,10 @@ The module doubles as a standalone backend-comparison script::
 times TSens and the count evaluation per query on the requested backend
 *and* on the python reference, and prints the per-query and aggregate
 speedups (the columnar engine's headline number).
+
+Both modes gate the figure's shape on the cyclic q3: best-of-N TSens
+must cost at most :data:`MAX_Q3_TSENS_COUNT_RATIO` times best-of-N count
+evaluation on the backend under test.
 """
 
 import pytest
@@ -27,6 +31,10 @@ WORKLOADS = {
     "q2": q2_workload(),
     "q3": q3_workload(),
 }
+
+#: Fig. 7's claim: TSens within a small constant factor of evaluation.
+#: Left-deep table builds put q3 near 50x; early aggregation near 5x.
+MAX_Q3_TSENS_COUNT_RATIO = 10.0
 
 
 @pytest.mark.parametrize("name", list(WORKLOADS))
@@ -63,6 +71,15 @@ def test_fig7_evaluation_time(benchmark, tpch_base, name):
     )
 
 
+def test_fig7_q3_tsens_within_constant_factor_of_count(tpch_base):
+    timed = time_workload(WORKLOADS["q3"], tpch_base, rounds=3)
+    ratio = timed["tsens_seconds"] / timed["count_seconds"]
+    assert ratio <= MAX_Q3_TSENS_COUNT_RATIO, (
+        f"q3 TSens is {ratio:.1f}x count evaluation "
+        f"(gate {MAX_Q3_TSENS_COUNT_RATIO:.0f}x)"
+    )
+
+
 # --------------------------------------------------------------- script mode
 def _best_of(fn, rounds):
     import time
@@ -75,28 +92,33 @@ def _best_of(fn, rounds):
     return best
 
 
+def time_workload(workload, base, rounds):
+    """Best-of-``rounds`` TSens and count wall times of one workload."""
+    db = workload.prepared(base)
+    return {
+        "tsens_seconds": _best_of(
+            lambda: local_sensitivity(
+                workload.query, db, tree=workload.tree,
+                skip_relations=workload.skip_relations,
+            ),
+            rounds,
+        ),
+        "count_seconds": _best_of(
+            lambda: count_query(workload.query, db, tree=workload.tree),
+            rounds,
+        ),
+    }
+
+
 def run_backend(backend, scale, seed, rounds):
     """Per-query TSens + count wall times (best of ``rounds``) on ``backend``."""
     from repro.datasets import generate_tpch
 
     base = generate_tpch(scale, seed=seed, backend=backend)
-    results = {}
-    for name, workload in WORKLOADS.items():
-        db = workload.prepared(base)
-        results[name] = {
-            "tsens_seconds": _best_of(
-                lambda: local_sensitivity(
-                    workload.query, db, tree=workload.tree,
-                    skip_relations=workload.skip_relations,
-                ),
-                rounds,
-            ),
-            "count_seconds": _best_of(
-                lambda: count_query(workload.query, db, tree=workload.tree),
-                rounds,
-            ),
-        }
-    return results
+    return {
+        name: time_workload(workload, base, rounds)
+        for name, workload in WORKLOADS.items()
+    }
 
 
 if __name__ == "__main__":
@@ -160,6 +182,15 @@ if __name__ == "__main__":
             )
         print(f"  overall (total wall time): {overall:.1f}x")
 
+    q3 = timed[args.backend]["q3"]
+    ratio = q3["tsens_seconds"] / q3["count_seconds"]
+    document["q3_tsens_count_ratio"] = ratio
     if args.json is not None:
         args.json.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")
         print(f"wrote {args.json}")
+    print(
+        f"q3 TSens/count on {args.backend}: {ratio:.1f}x "
+        f"(gate {MAX_Q3_TSENS_COUNT_RATIO:.0f}x)"
+    )
+    if ratio > MAX_Q3_TSENS_COUNT_RATIO:
+        sys.exit(f"q3 TSens/count ratio {ratio:.1f}x exceeds the gate")

@@ -249,30 +249,51 @@ def run_comparison(backend, workers, scale, seed, rounds):
                 results[name]["per_op_seconds"]
                 / max(results[name]["resident_seconds"], 1e-9)
             )
+            results[name]["speedup_vs_serial"] = (
+                results[name]["serial_seconds"]
+                / max(results[name]["resident_seconds"], 1e-9)
+            )
     return results
 
 
 def write_bench_report(path, backend, workers, scale, seed, results):
-    """Merge resident timings into BENCH_<backend>_pipeline.json."""
+    """Merge resident timings into BENCH_<backend>_pipeline.json.
+
+    ``timings_seconds`` holds the resident times trend.py lines up;
+    ``serial_comparison`` keeps, per workload, the serial, per-op and
+    resident times with the resident path's ``speedup_vs_serial`` — the
+    end-to-end number that decides whether ``workers>1`` earns its keep.
+    """
     import json
 
-    timings = {}
-    if path.exists():
-        try:
-            timings = json.loads(path.read_text()).get("timings_seconds", {})
-        except (ValueError, OSError):
-            timings = {}
-    for name, entry in results.items():
-        timings[f"bench_pipeline.py::{name}::tsens"] = round(
-            entry["resident_seconds"], 6
-        )
-    payload = {
+    from conftest import load_matching_timings
+
+    provenance = {
         "backend": f"{backend}_pipeline",
         "workers": workers,
         "tpch_scale": scale,
         "seed": seed,
-        "timings_seconds": dict(sorted(timings.items())),
     }
+    timings = load_matching_timings(path, provenance)
+    for name, entry in results.items():
+        timings[f"bench_pipeline.py::{name}::tsens"] = round(
+            entry["resident_seconds"], 6
+        )
+    comparison = {
+        name: {
+            key: round(entry[key], 6)
+            for key in (
+                "serial_seconds", "per_op_seconds", "resident_seconds",
+                "speedup_vs_serial",
+            )
+        }
+        for name, entry in results.items()
+    }
+    payload = dict(
+        provenance,
+        timings_seconds=dict(sorted(timings.items())),
+        serial_comparison=comparison,
+    )
     path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
@@ -319,6 +340,7 @@ if __name__ == "__main__":
             f"  per-op={entry['per_op_seconds']*1e3:8.2f}ms"
             f"  resident={entry['resident_seconds']*1e3:8.2f}ms"
             f"  resident/per-op={entry['speedup_vs_per_op']:.2f}x"
+            f"  serial/resident={entry['speedup_vs_serial']:.2f}x"
         )
     print("  exact agreement: count, sensitivity, witness — all workloads")
 

@@ -202,23 +202,20 @@ def write_bench_report(path, backend, workers, scale, seed, results):
     """Merge sharded timings into BENCH_<backend>_w<N>.json for trend.py."""
     import json
 
-    timings = {}
-    if path.exists():
-        try:
-            timings = json.loads(path.read_text()).get("timings_seconds", {})
-        except (ValueError, OSError):
-            timings = {}
-    for name, entry in results.items():
-        timings[f"bench_sharded.py::{name}::tsens"] = round(
-            entry["sharded_seconds"], 6
-        )
-    payload = {
+    from conftest import load_matching_timings
+
+    provenance = {
         "backend": f"{backend}_w{workers}",
         "workers": workers,
         "tpch_scale": scale,
         "seed": seed,
-        "timings_seconds": dict(sorted(timings.items())),
     }
+    timings = load_matching_timings(path, provenance)
+    for name, entry in results.items():
+        timings[f"bench_sharded.py::{name}::tsens"] = round(
+            entry["sharded_seconds"], 6
+        )
+    payload = dict(provenance, timings_seconds=dict(sorted(timings.items())))
     path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 

@@ -100,6 +100,25 @@ def _record_wall_time(request):
     )
 
 
+def load_matching_timings(path: Path, provenance: dict) -> dict:
+    """The ``timings_seconds`` of an existing report, if it was measured
+    under exactly ``provenance`` (backend, scale, seed, ...), else ``{}``.
+
+    Filtered runs (-k, a single file) update only the entries they ran,
+    so a report is a merge of several runs — but only runs that measured
+    the same thing may share a file.  A report written under another
+    scale or seed is replaced whole, never relabelled."""
+    if not path.exists():
+        return {}
+    try:
+        payload = json.loads(path.read_text())
+    except (ValueError, OSError):
+        return {}
+    if any(payload.get(key) != value for key, value in provenance.items()):
+        return {}
+    return payload.get("timings_seconds", {})
+
+
 def pytest_sessionfinish(session, exitstatus):
     config = session.config
     times = getattr(config, "_bench_wall_times", None)
@@ -108,19 +127,12 @@ def pytest_sessionfinish(session, exitstatus):
         return
     backend = config.getoption("--backend")
     out = Path(__file__).resolve().parent / f"BENCH_{backend}.json"
-    # Merge into any existing report so filtered runs (-k, single file)
-    # update only the tests they actually ran.
-    timings = {}
-    if out.exists():
-        try:
-            timings = json.loads(out.read_text()).get("timings_seconds", {})
-        except (ValueError, OSError):
-            timings = {}
-    timings.update({node: round(t, 6) for node, t in times.items()})
-    payload = {
+    provenance = {
         "backend": backend,
         "tpch_scale": config.getoption("tpch_scale"),
         "seed": SEED,
-        "timings_seconds": dict(sorted(timings.items())),
     }
+    timings = load_matching_timings(out, provenance)
+    timings.update({node: round(t, 6) for node, t in times.items()})
+    payload = dict(provenance, timings_seconds=dict(sorted(timings.items())))
     out.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")

@@ -21,10 +21,9 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.engine.columnar import ColumnarRelation, clamp_counts_to_top_k
 from repro.engine.database import Database
-from repro.engine.operators import group_by, join_all
 from repro.engine.relation import Relation
 from repro.evaluation.joinstate import JoinState
-from repro.evaluation.yannakakis import bind
+from repro.evaluation.yannakakis import bind, join_group
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.gyo import gyo_join_tree
 from repro.query.jointree import DecompositionTree
@@ -96,11 +95,10 @@ def tsens_topk(
     # Botjoins with clamping (post-order).
     botjoins: Dict[str, Relation] = {}
     for node_id in tree.post_order():
-        current = bound.relation(node_id)
-        for child in tree.children(node_id):
-            current = join_all([current, botjoins[child]])
+        parts = [bound.relation(node_id)]
+        parts.extend(botjoins[child] for child in tree.children(node_id))
         group_attrs = sorted(tree.shared_with_parent(node_id))
-        botjoins[node_id] = clamp_to_top_k(group_by(current, group_attrs), k)
+        botjoins[node_id] = clamp_to_top_k(join_group(parts, group_attrs), k)
 
     # Topjoins with clamping (pre-order).
     topjoins: Dict[str, Optional[Relation]] = {tree.root: None}
@@ -115,9 +113,8 @@ def tsens_topk(
             parts.append(topjoins[parent])  # type: ignore[arg-type]
         for sibling in tree.neighbours(node_id):
             parts.append(botjoins[sibling])
-        joined = join_all(parts)
         group_attrs = sorted(tree.shared_with_parent(node_id))
-        topjoins[node_id] = clamp_to_top_k(group_by(joined, group_attrs), k)
+        topjoins[node_id] = clamp_to_top_k(join_group(parts, group_attrs), k)
 
     skip = set(skip_relations)
     per_relation: Dict[str, SensitiveTuple] = {}

@@ -49,7 +49,7 @@ from typing import (
 
 import numpy as np
 
-from repro.engine.relation import same_bag_counts
+from repro.engine.relation import product_degrees, same_bag_counts
 from repro.engine.schema import Schema
 from repro.exceptions import InternalError, MultiplicityOverflowError, SchemaError
 
@@ -484,7 +484,7 @@ class ColumnarRelation:
 
     __slots__ = (
         "_schema", "_codes", "_mult", "_counts_cache", "_vocab",
-        "_column_values_cache",
+        "_column_values_cache", "_degree_cache",
     )
 
     def __init__(
@@ -529,6 +529,7 @@ class ColumnarRelation:
         self._counts_cache: Optional[Dict[Row, int]] = None
         self._vocab = _VOCAB
         self._column_values_cache: Optional[Dict[str, frozenset]] = None
+        self._degree_cache: Optional[Dict[str, int]] = None
 
     def _check_row(self, row: Sequence[object]) -> None:
         if len(row) != self._schema.arity:
@@ -559,6 +560,7 @@ class ColumnarRelation:
         rel._counts_cache = None
         rel._vocab = vocab if vocab is not None else _VOCAB
         rel._column_values_cache = None
+        rel._degree_cache = None
         return rel
 
     @classmethod
@@ -685,6 +687,28 @@ class ColumnarRelation:
                 values[c] for c in np.unique(self._codes[pos]).tolist()
             )
             self._column_values_cache[attribute] = cached
+        return cached
+
+    def max_degree(self, attribute: str) -> int:
+        """Most distinct rows sharing one value of ``attribute`` (0 if empty).
+
+        One ``np.bincount`` over the code column.  Codes index the whole
+        process vocabulary, so a column whose largest code far exceeds
+        its length (a few rows of a big vocabulary) counts with
+        ``np.unique`` instead of allocating a vocabulary-sized tally.
+        Memoised per attribute like :meth:`column_values`."""
+        if self._degree_cache is None:
+            self._degree_cache = {}
+        cached = self._degree_cache.get(attribute)
+        if cached is None:
+            column = self._codes[self._schema.index_of(attribute)]
+            if column.size == 0:
+                cached = 0
+            elif int(column.max()) <= 4 * column.size + 1024:
+                cached = int(np.bincount(column).max())
+            else:
+                cached = int(np.unique(column, return_counts=True)[1].max())
+            self._degree_cache[attribute] = cached
         return cached
 
     def max_frequency(self, attributes: Sequence[str]) -> int:
@@ -945,6 +969,13 @@ def join(left: ColumnarRelation, right: ColumnarRelation) -> ColumnarRelation:
     return ColumnarRelation._from_parts(out_schema, codes, mult, vocab=left._vocab)
 
 
+def _tiled(column: np.ndarray, times: int) -> np.ndarray:
+    """``column`` repeated end to end ``times`` times (an owning array)."""
+    out = np.empty(column.size * times, dtype=column.dtype)
+    out.reshape(times, column.size)[:] = column
+    return out
+
+
 def cross_product(left: ColumnarRelation, right: ColumnarRelation) -> ColumnarRelation:
     """Bag cross product (multiplicities multiply)."""
     overlap = left.schema.common(right.schema)
@@ -953,12 +984,16 @@ def cross_product(left: ColumnarRelation, right: ColumnarRelation) -> ColumnarRe
     left, right = _aligned(left, right)
     out_schema = left.schema.union(right.schema)
     n_left, n_right = left._mult.size, right._mult.size
-    lidx = np.repeat(np.arange(n_left), n_right)
-    ridx = np.tile(np.arange(n_right), n_left)
-    codes = [column[lidx] for column in left._codes]
-    codes.extend(column[ridx] for column in right._codes)
-    mult = _pair_products(left._mult[lidx], right._mult[ridx])
-    return ColumnarRelation._from_parts(out_schema, codes, mult, vocab=left._vocab)
+    # Left rows repeat in place, the right side repeats end to end: no
+    # index arrays to build and gather through.
+    codes = [np.repeat(column, n_right) for column in left._codes]
+    codes.extend(_tiled(column, n_left) for column in right._codes)
+    mult = _pair_products(
+        np.repeat(left._mult, n_right), _tiled(right._mult, n_left)
+    )
+    product = ColumnarRelation._from_parts(out_schema, codes, mult, vocab=left._vocab)
+    product._degree_cache = product_degrees(left, right)
+    return product
 
 
 def group_by(relation: ColumnarRelation, attributes: Sequence[str]) -> ColumnarRelation:

@@ -29,7 +29,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.engine import columnar as _columnar
 from repro.engine.columnar import ColumnarRelation
-from repro.engine.relation import Relation, Row
+from repro.engine.relation import Relation, Row, product_degrees
 from repro.engine.schema import Schema
 from repro.exceptions import SchemaError
 
@@ -115,7 +115,9 @@ def cross_product(left: Relation, right: Relation) -> Relation:
     for lrow, lcnt in left.items():
         for rrow, rcnt in right.items():
             out[lrow + rrow] = lcnt * rcnt
-    return Relation._from_counts(out_schema, out)
+    product = Relation._from_counts(out_schema, out)
+    product._degree_cache = product_degrees(left, right)
+    return product
 
 
 def group_by(relation: Relation, attributes: Sequence[str]) -> Relation:

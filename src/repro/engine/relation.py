@@ -16,6 +16,8 @@ sensitivity definitions (``Q(D ∪ {t})``, ``Q(D \\ {t})``) read naturally.
 
 from __future__ import annotations
 
+from collections import Counter
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.engine.schema import Schema
@@ -45,7 +47,7 @@ class Relation:
     2
     """
 
-    __slots__ = ("_schema", "_counts", "_column_values_cache")
+    __slots__ = ("_schema", "_counts", "_column_values_cache", "_degree_cache")
 
     def __init__(
         self,
@@ -71,6 +73,7 @@ class Relation:
                 counts[row] = counts.get(row, 0) + 1
         self._counts = counts
         self._column_values_cache: Optional[Dict[str, frozenset]] = None
+        self._degree_cache: Optional[Dict[str, int]] = None
 
     def _check_row(self, row: Sequence[object]) -> None:
         if len(row) != self._schema.arity:
@@ -153,6 +156,21 @@ class Relation:
             pos = self._schema.index_of(attribute)
             cached = frozenset(row[pos] for row in self._counts)
             self._column_values_cache[attribute] = cached
+        return cached
+
+    def max_degree(self, attribute: str) -> int:
+        """Most distinct rows sharing one value of ``attribute`` (0 if empty).
+
+        The most-common-value degree that bounds a join on ``attribute``:
+        each row of the other side meets at most this many rows of this
+        one.  Memoised per attribute like :meth:`column_values`."""
+        if self._degree_cache is None:
+            self._degree_cache = {}
+        cached = self._degree_cache.get(attribute)
+        if cached is None:
+            position = itemgetter(self._schema.index_of(attribute))
+            cached = max(Counter(map(position, self._counts)).values(), default=0)
+            self._degree_cache[attribute] = cached
         return cached
 
     def max_frequency(self, attributes: Sequence[str]) -> int:
@@ -267,7 +285,22 @@ class Relation:
         rel._schema = schema
         rel._counts = counts
         rel._column_values_cache = None
+        rel._degree_cache = None
         return rel
+
+
+def product_degrees(left, right) -> Dict[str, int]:
+    """Exact :meth:`~Relation.max_degree` of every attribute of ``left ×
+    right``, from the (far smaller) operands.
+
+    Every pairing is a distinct output row, so an attribute's degree is
+    its operand-side degree times the other operand's row count.  Cross
+    products seed their result's degree memo with this, which keeps a
+    later join order choice from scanning the product."""
+    degrees = {a: left.max_degree(a) * right.distinct_count() for a in left.attributes}
+    for a in right.attributes:
+        degrees[a] = right.max_degree(a) * left.distinct_count()
+    return degrees
 
 
 def same_bag_counts(left, right) -> bool:

@@ -58,6 +58,7 @@ from repro.evaluation.yannakakis import (
     bound_delta,
     compute_botjoins,
     compute_topjoins,
+    join_group,
 )
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.jointree import DecompositionTree
@@ -184,9 +185,13 @@ def build_table(
 ) -> MultiplicityTable:
     """Materialise a table from its layout and a part-resolving callback.
 
-    ``parallel``/``shard_cache`` shard each factor's join+group across the
-    worker pool, re-using the botjoin/topjoin partitionings already cached
-    for this state; inactive contexts take the identical serial path.
+    Each factor is one :func:`~repro.evaluation.yannakakis.join_group`,
+    the same operator :meth:`JoinState._stage_table_patch` uses for its
+    factor deltas, so the part order inside a layout component changes
+    intermediate sizes only.  ``parallel``/``shard_cache`` shard each
+    factor's join+group across the worker pool (left-deep, without early
+    aggregation), re-using the botjoin/topjoin partitionings already
+    cached for this state; inactive contexts take the serial path.
     """
     if not layout.components:
         # Single-relation query: Q(D) = R, every tuple has sensitivity 1.
@@ -206,7 +211,7 @@ def build_table(
                 )
             )
         else:
-            factors.append(group_by(join_all(parts), component.effective))
+            factors.append(join_group(parts, component.effective))
     return MultiplicityTable(layout.relation, tuple(factors))
 
 
@@ -897,7 +902,7 @@ class JoinState:
                 for part in component.parts
                 if part != changed
             ]
-            factor_delta = group_by(join_all(parts), component.effective)
+            factor_delta = join_group(parts, component.effective)
             if factor_delta.is_empty():
                 return None
             old = table.factors[index]

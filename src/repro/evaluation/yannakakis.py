@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from collections.abc import MutableMapping
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.engine.operators import group_by, join, join_all, semijoin
 from repro.engine.database import Database
@@ -125,6 +127,62 @@ def bound_delta(
     return relation_cls(list(atom.variables), dict(rows))
 
 
+def _pair_estimate(left: Relation, right: Relation) -> Tuple[int, int]:
+    """Sort key for joining ``left`` with ``right``: cross products last,
+    then the degree bound ``min(|l|·deg_r(S), |r|·deg_l(S))`` on the
+    shared attributes ``S``, where ``deg(S)`` is the smallest max-degree
+    over ``S`` (the UES most-common-value bound)."""
+    shared = [a for a in left.attributes if a in right.schema]
+    if not shared:
+        return (1, left.distinct_count() * right.distinct_count())
+    left_degree = min(left.max_degree(a) for a in shared)
+    right_degree = min(right.max_degree(a) for a in shared)
+    return (
+        0,
+        min(
+            left.distinct_count() * right_degree,
+            right.distinct_count() * left_degree,
+        ),
+    )
+
+
+def join_group(parts: Sequence[Relation], attrs: Sequence[str]) -> Relation:
+    """``group_by(join_all(parts), attrs)`` with early aggregation.
+
+    Greedy sum-product variable elimination (FAQ / InsideOut): join the
+    pair of parts with the smallest estimated output (:func:`_pair_estimate`;
+    index order breaks ties), then sum away every attribute that neither
+    a remaining part nor ``attrs`` mentions, and repeat.  Multiplicities
+    form a commutative semiring under join and group-by, so the result is
+    the same bag in any order — only the intermediate sizes differ.  Two
+    parts have one order, so they skip the statistics.
+    """
+    if not parts:
+        raise InternalError("join_group requires at least one relation")
+    attrs = tuple(attrs)
+    pending = list(parts)
+    while len(pending) > 1:
+        if len(pending) == 2:
+            i, j = 0, 1
+        else:
+            _, i, j = min(
+                (_pair_estimate(pending[i], pending[j]), i, j)
+                for i in range(len(pending))
+                for j in range(i + 1, len(pending))
+            )
+        joined = join(pending[i], pending[j])
+        del pending[j]
+        del pending[i]
+        needed = set(attrs)
+        for part in pending:
+            needed.update(part.attributes)
+        keep = [a for a in joined.attributes if a in needed]
+        if pending and len(keep) < len(joined.attributes):
+            joined = group_by(joined, keep)
+        pending.insert(i, joined)
+    return group_by(pending[0], attrs)
+
+
 def compute_botjoins(
     bound: BoundTree, parallel=None, shard_cache=None, resident=None
 ) -> Dict[str, Relation]:
@@ -132,7 +190,8 @@ def compute_botjoins(
 
     ``K(v) = γ_{A_v ∩ A_p(v)} r̃join(rel_v, {K(c) | c ∈ children(v)})``.
     For the root the grouping attribute set is empty, so ``K(root)`` is a
-    zero-arity relation whose single count is ``|Q(D)|``.
+    zero-arity relation whose single count is ``|Q(D)|``.  Serially each
+    level is one :func:`join_group`.
 
     With an active ``parallel`` context each level's join+group runs
     hash-sharded across the worker pool and the per-shard partial botjoins
@@ -169,10 +228,9 @@ def compute_botjoins(
                 parts, group_attrs, cache=shard_cache, keys=keys
             )
         else:
-            current = bound.relation(node_id)
-            for child in children:
-                current = join(current, botjoins[child])
-            botjoins[node_id] = group_by(current, group_attrs)
+            parts = [bound.relation(node_id)]
+            parts.extend(botjoins[child] for child in children)
+            botjoins[node_id] = join_group(parts, group_attrs)
     return botjoins
 
 
@@ -187,7 +245,8 @@ def compute_topjoins(
 
     ``J(root)`` is ``None`` (the complement of the whole tree is empty).
     For a node whose parent is the root the topjoin omits ``J(parent)``;
-    otherwise ``J(v) = γ_{A_v ∩ A_p} r̃join(rel_p, J(p), {K(s) | s ∈ N(v)})``.
+    otherwise ``J(v) = γ_{A_v ∩ A_p} r̃join(rel_p, J(p), {K(s) | s ∈ N(v)})``,
+    one :func:`join_group` per node when serial.
     ``parallel``/``shard_cache`` shard each level exactly as in
     :func:`compute_botjoins`; ``resident`` runs the sweep against the
     worker-resident botjoin registers (falling back per-op on failure).
@@ -221,7 +280,7 @@ def compute_topjoins(
                 parts, group_attrs, cache=shard_cache, keys=keys
             )
         else:
-            topjoins[node_id] = group_by(join_all(parts), group_attrs)
+            topjoins[node_id] = join_group(parts, group_attrs)
     return topjoins
 
 
